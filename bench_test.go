@@ -642,19 +642,9 @@ func BenchmarkFleetConverge(b *testing.B) {
 	// at <= 0.5x the serial wall-clock when >= 4 CPUs are available.
 	bench1m := func(shardWorkers int) func(*testing.B) {
 		return func(b *testing.B) {
-			cfg := workload.DefaultClusteredConfig(1)
-			cfg.Clusters = 16
-			cfg.TasksPerCluster = 125
-			cfg.ReplicateFactor = 100
-			cfg.ResourcesPerCluster = 500
-			cfg.MinSubtasks = 5
-			cfg.MaxSubtasks = 5
-			cfg.ChainOnly = true
-			cfg.SlackFactor = 400
-			cfg.CrossFraction = 0.002
 			var converged, rounds, subtasks float64
 			for i := 0; i < b.N; i++ {
-				w, err := workload.Clustered(cfg)
+				w, err := workload.Clustered(fleet1mShape())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -683,6 +673,48 @@ func BenchmarkFleetConverge(b *testing.B) {
 	}
 	b.Run("1m", bench1m(1))
 	b.Run("1m-parallel", bench1m(16))
+}
+
+// fleet1mShape is the million-subtask clustered workload of the 1m fleet
+// benchmarks: 16 clusters of 125 five-subtask chains over 500 resources
+// each, replicated 100 times, with 0.2% cross-cluster edges.
+func fleet1mShape() workload.ClusteredConfig {
+	cfg := workload.DefaultClusteredConfig(1)
+	cfg.Clusters = 16
+	cfg.TasksPerCluster = 125
+	cfg.ReplicateFactor = 100
+	cfg.ResourcesPerCluster = 500
+	cfg.MinSubtasks = 5
+	cfg.MaxSubtasks = 5
+	cfg.ChainOnly = true
+	cfg.SlackFactor = 400
+	cfg.CrossFraction = 0.002
+	return cfg
+}
+
+// BenchmarkFleetSetup measures fleet.New alone — validation, compilation,
+// partitioning and the 16 shard engine builds — on the 1m fleet shape.
+// Each iteration builds from a freshly generated workload (generated with
+// the timer stopped), so allocs/op does not depend on the iteration count;
+// scripts/benchparse gates it against the previous report's.
+func BenchmarkFleetSetup(b *testing.B) {
+	b.Run("1m", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			w, err := workload.Clustered(fleet1mShape())
+			if err != nil {
+				b.Fatal(err)
+			}
+			runtime.GC()
+			b.StartTimer()
+			f, err := fleet.New(w, fleet.Config{Shards: 16, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			f.Close()
+		}
+	})
 }
 
 // BenchmarkDistributedRounds measures distributed rounds per second over

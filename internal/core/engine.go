@@ -205,10 +205,21 @@ type Engine struct {
 // NewEngine compiles the workload and builds controllers and resource
 // agents.
 func NewEngine(w *workload.Workload, cfg Config) (*Engine, error) {
-	cfg = cfg.WithDefaults()
-	p, err := Compile(w, cfg.WeightMode)
+	p, err := Compile(w, cfg.WithDefaults().WeightMode)
 	if err != nil {
 		return nil, err
+	}
+	return NewEngineFrom(p, cfg)
+}
+
+// NewEngineFrom builds an engine over an already compiled problem — a
+// Compile result, or a Project of one (the fleet's shards) — which the
+// engine takes over and mutates. The problem must have been compiled under
+// the config's weight mode.
+func NewEngineFrom(p *Problem, cfg Config) (*Engine, error) {
+	cfg = cfg.WithDefaults()
+	if p.mode != cfg.WeightMode {
+		return nil, fmt.Errorf("core: problem compiled under weight mode %v, engine configured for %v", p.mode, cfg.WeightMode)
 	}
 	e := &Engine{
 		p:         p,
@@ -642,6 +653,8 @@ func (e *Engine) SetErrorMs(taskName, subtaskName string, errMs float64) error {
 
 // SetMinShare changes a subtask's minimum-share floor at runtime (workload
 // variation: a rate change shifts the share needed to keep queues bounded).
+// The floor is recorded in the engine's own copy of the changed task; the
+// workload the engine was built from is never modified.
 func (e *Engine) SetMinShare(taskName, subtaskName string, minShare float64) error {
 	if minShare < 0 || minShare > 1 {
 		return fmt.Errorf("core: min share %v outside [0,1]", minShare)
@@ -650,7 +663,7 @@ func (e *Engine) SetMinShare(taskName, subtaskName string, minShare float64) err
 	if err != nil {
 		return err
 	}
-	e.p.src.Tasks[ti].Subtasks[si].MinShare = minShare
+	e.p.setMinShare(ti, si, minShare)
 	e.p.refreshBounds(ti, si)
 	e.invalidateSparse()
 	e.emit(obs.Event{Kind: obs.EventWorkloadChange, Iteration: e.iter,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"lla/internal/share"
@@ -319,6 +320,42 @@ func TestEngineAdaptsToMinShareChange(t *testing.T) {
 	}
 	if err := e.SetMinShare("zz", "s1", 0.1); err == nil {
 		t.Error("unknown task should fail")
+	}
+}
+
+// SetMinShare records the floor in the engine's own copy of the task: the
+// workload the engine was built from stays deep-equal to before, while the
+// engine's CurrentWorkload carries the new floor.
+func TestEngineSetMinShareLeavesCallerWorkload(t *testing.T) {
+	w := twoTaskOneResource()
+	before := w.Clone()
+	e, err := NewEngine(w, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, floor := range []float64{0.6, 0.3} {
+		if err := e.SetMinShare("t1", "s1", floor); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.CurrentWorkload().Tasks[0].Subtasks[0].MinShare; got != floor {
+			t.Fatalf("engine workload floor %v, want %v", got, floor)
+		}
+	}
+	if !reflect.DeepEqual(w.Clone(), before) {
+		t.Fatal("SetMinShare modified the caller's workload")
+	}
+}
+
+// NewEngineFrom refuses a problem compiled under a different weight mode
+// than the engine's config: its weights would silently be the wrong ones.
+func TestNewEngineFromRejectsWeightModeMismatch(t *testing.T) {
+	p, err := Compile(twoTaskOneResource(), task.WeightSum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngineFrom(p, Config{WeightMode: task.WeightPathNormalized}); err == nil {
+		t.Fatal("weight-mode mismatch accepted")
 	}
 }
 

@@ -14,9 +14,9 @@ func (e *Engine) Config() Config { return e.cfg }
 // problem — not the source workload — is authoritative for resource
 // availabilities (SetAvailability updates the problem in place without
 // writing back), so the copy re-reads them from the problem; minimum-share
-// floors are already written through to the source by SetMinShare. Admission
-// control builds candidate workloads from this copy so a trial optimization
-// sees exactly the world the live engine does.
+// floors are already in the source, which SetMinShare replaces
+// copy-on-write. Admission control builds candidate workloads from this copy
+// so a trial optimization sees exactly the world the live engine does.
 func (e *Engine) CurrentWorkload() *workload.Workload {
 	w := e.p.src.Clone()
 	for ri := range e.p.Resources {

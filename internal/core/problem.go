@@ -27,7 +27,10 @@ type Problem struct {
 	// Resources holds the compiled resources.
 	Resources []ProblemResource
 
-	src *workload.Workload
+	// src is the workload the problem describes; mode the weight mode its
+	// Weights were derived under.
+	src  *workload.Workload
+	mode task.WeightMode
 }
 
 // ProblemTask is the compiled per-task view used by its task controller.
@@ -75,21 +78,28 @@ type ProblemResource struct {
 }
 
 // Compile validates the workload and builds the dense problem view.
-// weightMode selects the utility variant of Section 3.2.
+// weightMode selects the utility variant of Section 3.2. Tasks, Resources
+// and every resource's Subs list are sized exactly up front: Subs come from
+// a count pass over the compiled Res indices and share one backing array.
 func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error) {
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	p := &Problem{src: w}
+	p := &Problem{
+		Tasks:     make([]ProblemTask, len(w.Tasks)),
+		Resources: make([]ProblemResource, len(w.Resources)),
+		src:       w,
+		mode:      weightMode,
+	}
 
 	resIdx := make(map[string]int, len(w.Resources))
 	for i, r := range w.Resources {
 		resIdx[r.ID] = i
-		p.Resources = append(p.Resources, ProblemResource{
+		p.Resources[i] = ProblemResource{
 			ID:           r.ID,
 			Availability: r.Availability,
 			LagMs:        r.LagMs,
-		})
+		}
 	}
 
 	for ti, t := range w.Tasks {
@@ -102,7 +112,8 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 			return nil, fmt.Errorf("core: task %s: %w", t.Name, err)
 		}
 		n := len(t.Subtasks)
-		pt := ProblemTask{
+		pt := &p.Tasks[ti]
+		*pt = ProblemTask{
 			Name:         t.Name,
 			CriticalMs:   t.CriticalMs,
 			Curve:        w.Curves[t.Name],
@@ -122,29 +133,117 @@ func Compile(w *workload.Workload, weightMode task.WeightMode) (*Problem, error)
 		}
 		for si, s := range t.Subtasks {
 			ri := resIdx[s.Resource]
-			r := w.Resources[ri]
 			pt.Res[si] = ri
-			pt.Share[si] = share.WCETLag{ExecMs: s.ExecMs, LagMs: r.LagMs}
+			pt.Share[si] = share.WCETLag{ExecMs: s.ExecMs, LagMs: w.Resources[ri].LagMs}
 			pt.SubtaskNames[si] = s.Name
-			pt.LatMinMs[si] = pt.Share[si].LatencyFor(r.Availability)
-			maxLat := t.CriticalMs
-			if s.MinShare > 0 {
-				if cap := pt.Share[si].LatencyFor(s.MinShare); cap < maxLat {
-					maxLat = cap
-				}
-			}
-			if maxLat < pt.LatMinMs[si] {
-				// Degenerate bounds (e.g. availability too low for the
-				// deadline): keep a consistent interval; the constraint
-				// violation will surface in the snapshot instead.
-				maxLat = pt.LatMinMs[si]
-			}
-			pt.LatMaxMs[si] = maxLat
+			p.setBounds(ti, si, s.MinShare)
+		}
+	}
+	p.buildSubs()
+	return p, nil
+}
+
+// buildSubs fills every resource's Subs list — the (task, subtask) pairs
+// consuming it, in ascending (task, subtask) order — from the tasks' Res
+// indices: a count pass sizes each list, then one shared backing array
+// holds them all.
+func (p *Problem) buildSubs() {
+	count := make([]int, len(p.Resources))
+	total := 0
+	for ti := range p.Tasks {
+		for _, ri := range p.Tasks[ti].Res {
+			count[ri]++
+		}
+		total += len(p.Tasks[ti].Res)
+	}
+	flat := make([][2]int, total)
+	off := 0
+	for ri := range p.Resources {
+		if n := count[ri]; n > 0 {
+			p.Resources[ri].Subs = flat[off : off : off+n]
+			off += n
+		}
+	}
+	for ti := range p.Tasks {
+		for si, ri := range p.Tasks[ti].Res {
 			p.Resources[ri].Subs = append(p.Resources[ri].Subs, [2]int{ti, si})
 		}
-		p.Tasks = append(p.Tasks, pt)
 	}
-	return p, nil
+}
+
+// Project returns the sub-problem of p restricted to the tasks taskIdx
+// (ascending indices into p.Tasks), exactly as Compile would build it from
+// a workload holding just those tasks and the resources they use, named
+// name: every task keeps its compiled data, Res is remapped to the
+// sub-problem's resource indices (original resource order kept), and each
+// resource's Subs is the original list filtered to the selected tasks, in
+// compile order. Nothing is re-validated or re-derived. Because every order
+// is kept, a shard whose resources no other task uses runs exactly the full
+// problem's per-component arithmetic, bit for bit.
+//
+// The sub-problem takes over the selected tasks' compiled slices rather
+// than copying them — the engine adjusts Share, LatMinMs and LatMaxMs in
+// place — so a task may be projected at most once, and p must not back an
+// engine once it has been projected. The sub-problem's source workload
+// shares p's *task.Task values, read-only (see SetMinShare).
+func (p *Problem) Project(taskIdx []int, name string) *Problem {
+	// local[ri] is resource ri's sub-problem index, or -1 if unused.
+	local := make([]int, len(p.Resources))
+	for ri := range local {
+		local[ri] = -1
+	}
+	nsub := 0
+	for _, ti := range taskIdx {
+		for _, ri := range p.Tasks[ti].Res {
+			local[ri] = 0
+		}
+		nsub += len(p.Tasks[ti].Res)
+	}
+	nres := 0
+	for ri := range local {
+		if local[ri] == 0 {
+			local[ri] = nres
+			nres++
+		}
+	}
+
+	sw := &workload.Workload{
+		Name:      name,
+		Tasks:     make([]*task.Task, len(taskIdx)),
+		Resources: make([]share.Resource, 0, nres),
+		Curves:    make(map[string]utility.Curve, len(taskIdx)),
+	}
+	sub := &Problem{
+		Tasks:     make([]ProblemTask, len(taskIdx)),
+		Resources: make([]ProblemResource, 0, nres),
+		src:       sw,
+		mode:      p.mode,
+	}
+	for ri := range p.Resources {
+		if local[ri] >= 0 {
+			r := p.Resources[ri]
+			r.Subs = nil
+			sub.Resources = append(sub.Resources, r)
+			sw.Resources = append(sw.Resources, p.src.Resources[ri])
+		}
+	}
+	res := make([]int, nsub)
+	for i, ti := range taskIdx {
+		pt := p.Tasks[ti]
+		n := len(pt.Res)
+		r := res[:n:n]
+		res = res[n:]
+		for si, ri := range pt.Res {
+			r[si] = local[ri]
+		}
+		pt.Res = r
+		sub.Tasks[i] = pt
+		t := p.src.Tasks[ti]
+		sw.Tasks[i] = t
+		sw.Curves[t.Name] = p.src.Curves[t.Name]
+	}
+	sub.buildSubs()
+	return sub
 }
 
 // Workload returns the workload this problem was compiled from.
@@ -184,20 +283,43 @@ func (p *Problem) ResponseSlope(ti, si int, latMs, mu float64) float64 {
 // refreshBounds recomputes a subtask's latency bounds after a change to its
 // share function (error correction) or its resource's availability.
 func (p *Problem) refreshBounds(ti, si int) {
+	p.setBounds(ti, si, p.src.Tasks[ti].Subtasks[si].MinShare)
+}
+
+// setBounds derives a subtask's latency bounds from its share function, its
+// resource's availability, its task's critical time and its minimum-share
+// floor.
+func (p *Problem) setBounds(ti, si int, minShare float64) {
 	pt := &p.Tasks[ti]
 	r := p.Resources[pt.Res[si]]
 	pt.LatMinMs[si] = pt.Share[si].LatencyFor(r.Availability)
 	maxLat := pt.CriticalMs
-	minShare := p.src.Tasks[ti].Subtasks[si].MinShare
 	if minShare > 0 {
 		if cap := pt.Share[si].LatencyFor(minShare); cap < maxLat {
 			maxLat = cap
 		}
 	}
 	if maxLat < pt.LatMinMs[si] {
+		// Degenerate bounds (e.g. availability too low for the deadline):
+		// keep a consistent interval; the constraint violation will surface
+		// in the snapshot instead.
 		maxLat = pt.LatMinMs[si]
 	}
 	pt.LatMaxMs[si] = maxLat
+}
+
+// setMinShare writes a subtask's minimum-share floor into the source
+// workload copy-on-write: the workload header, its task list and the one
+// task are cloned first, so neither the caller's workload nor a fleet
+// sharing its tasks ever sees the change. Runtime floor changes are rare;
+// refreshBounds and CurrentWorkload read the floor back through src.
+func (p *Problem) setMinShare(ti, si int, minShare float64) {
+	w := *p.src
+	w.Tasks = append([]*task.Task(nil), p.src.Tasks...)
+	t := w.Tasks[ti].Clone()
+	t.Subtasks[si].MinShare = minShare
+	w.Tasks[ti] = t
+	p.src = &w
 }
 
 // clamp bounds v to [lo, hi].

@@ -212,13 +212,26 @@ type Fleet struct {
 
 // New partitions the workload, builds one engine per shard, and pins every
 // boundary resource to the initial price.
+//
+// The workload is validated and compiled once; each shard's problem is a
+// projection of that compiled problem (core.Problem.Project), and its
+// source workload shares w's *task.Task values. The fleet only reads them:
+// w's tasks must not be mutated after the call (ReplaceWorkload diffs
+// against them).
 func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
-	ecfg := cfg.Engine.WithDefaults()
-	p, err := core.Compile(w, ecfg.WeightMode)
+	p, err := core.Compile(w, cfg.Engine.WithDefaults().WeightMode)
 	if err != nil {
 		return nil, err
 	}
+	return build(w, p, cfg)
+}
+
+// build partitions the compiled problem p of workload w and builds the
+// fleet over it, projecting one shard problem per partition block. It
+// takes p over: the shard engines own its tasks' compiled data.
+func build(w *workload.Workload, p *core.Problem, cfg Config) (*Fleet, error) {
+	ecfg := cfg.Engine.WithDefaults()
 	inc := core.NewIncidence(p)
 	part, err := NewPartition(&inc, PartitionConfig{
 		Shards: cfg.Shards, Seed: cfg.Seed,
@@ -245,8 +258,8 @@ func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	}
 
 	for s := 0; s < part.Shards; s++ {
-		sw := subWorkload(w, fmt.Sprintf("%s/shard%d", w.Name, s), part.ShardTasks[s])
-		eng, err := core.NewEngine(sw, f.shardCfg)
+		sp := p.Project(part.ShardTasks[s], shardName(w, s))
+		eng, err := core.NewEngineFrom(sp, f.shardCfg)
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("fleet: building shard %d: %w", s, err)
@@ -313,6 +326,11 @@ func New(w *workload.Workload, cfg Config) (*Fleet, error) {
 	// lazily), so the finalizer is safe even after a full-rebuild swap.
 	runtime.SetFinalizer(f, (*Fleet).Close)
 	return f, nil
+}
+
+// shardName names shard s's source workload.
+func shardName(w *workload.Workload, s int) string {
+	return fmt.Sprintf("%s/shard%d", w.Name, s)
 }
 
 // initBuffers sizes the shard's reusable boundary report/pin buffers and

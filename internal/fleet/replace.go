@@ -69,7 +69,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	}
 
 	if n2 < K {
-		return f.replaceFull(w, added, removed)
+		return f.replaceFull(w, p2, added, removed)
 	}
 
 	// Survivors keep their shard; new tasks go, in ascending task order, to
@@ -137,7 +137,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 	}
 	for s := 0; s < K; s++ {
 		if count[s] == 0 {
-			return f.replaceFull(w, added, removed)
+			return f.replaceFull(w, p2, added, removed)
 		}
 	}
 
@@ -201,8 +201,7 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 		if !dirty[s] {
 			continue
 		}
-		sub := subWorkload(w, fmt.Sprintf("%s/shard%d", w.Name, s), shardTasks2[s])
-		eng, err := core.NewEngine(sub, f.shardCfg)
+		eng, err := core.NewEngineFrom(p2.Project(shardTasks2[s], shardName(w, s)), f.shardCfg)
 		if err != nil {
 			return ReplaceStats{}, fmt.Errorf("fleet: rebuilding shard %d: %w", s, err)
 		}
@@ -335,10 +334,11 @@ func (f *Fleet) ReplaceWorkload(w *workload.Workload) (ReplaceStats, error) {
 }
 
 // replaceFull rebuilds the fleet from scratch — fresh partition, fresh
-// engines — but still warm-starts every shard from the old engines holding
-// its surviving tasks and the boundary vector from the old iterate by ID.
-func (f *Fleet) replaceFull(w *workload.Workload, added, removed int) (ReplaceStats, error) {
-	nf, err := New(w, f.cfg)
+// engines over w's already compiled problem p2 — but still warm-starts
+// every shard from the old engines holding its surviving tasks and the
+// boundary vector from the old iterate by ID.
+func (f *Fleet) replaceFull(w *workload.Workload, p2 *core.Problem, added, removed int) (ReplaceStats, error) {
+	nf, err := build(w, p2, f.cfg)
 	if err != nil {
 		return ReplaceStats{}, err
 	}

@@ -4,13 +4,12 @@ import (
 	"math"
 
 	"lla/internal/core"
-	"lla/internal/utility"
 	"lla/internal/wire"
-	"lla/internal/workload"
 )
 
-// shardRuntime wraps one shard's engine: the sub-workload's tasks with their
-// original data, boundary resources pinned to the aggregator's prices.
+// shardRuntime wraps one shard's engine: the shard's tasks with their
+// original compiled data, boundary resources pinned to the aggregator's
+// prices.
 type shardRuntime struct {
 	id  int
 	eng *core.Engine
@@ -62,41 +61,14 @@ func (s *shardRuntime) refreshBoundary(needCurv bool) {
 	}
 }
 
-// subWorkload extracts the tasks of one shard, keeping task and resource
-// order as in the full workload. Order preservation is what makes the
-// shard's compiled sub-problem a projection of the full one: every per-task
-// datum is identical and every resource's Subs list is the original list
-// filtered to the shard's tasks — so an overlap-free shard reproduces the
-// single engine's per-component arithmetic bit for bit.
-func subWorkload(w *workload.Workload, name string, taskIdx []int) *workload.Workload {
-	sub := &workload.Workload{
-		Name:   name,
-		Curves: make(map[string]utility.Curve, len(taskIdx)),
-	}
-	used := make(map[string]bool)
-	for _, ti := range taskIdx {
-		t := w.Tasks[ti].Clone()
-		sub.Tasks = append(sub.Tasks, t)
-		sub.Curves[t.Name] = w.Curves[t.Name]
-		for _, s := range t.Subtasks {
-			used[s.Resource] = true
-		}
-	}
-	for _, r := range w.Resources {
-		if used[r.ID] {
-			sub.Resources = append(sub.Resources, r)
-		}
-	}
-	return sub
-}
-
 // sweep runs the shard's local price dynamics against the current pinned
 // boundary prices until the shard-local fixed point: the KKT/feasibility
 // window rule, or — in freeze mode, and as an early exit on the sparse
 // path — until a Step executes zero solves and reprices zero resources,
 // meaning the state is bitwise frozen and further Steps are no-ops.
 // maxIters always caps the sweep. The certification fields are refreshed
-// on exit.
+// on exit: on a window-rule exit they are the values the last check just
+// computed on the unchanged state; every other exit recomputes them.
 func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window int, tol float64) {
 	if window < 1 {
 		window = 1
@@ -124,15 +96,18 @@ func (s *shardRuntime) sweep(maxIters int, freeze bool, kktTol float64, window i
 			continue
 		}
 		kktMax, _, _ := s.eng.KKTStats()
-		pr := s.eng.Probe()
-		if kktMax < kktTol && s.unpinnedViolation() < tol && pr.MaxPathViolationFrac < tol {
-			stable++
-			if stable >= window {
-				break
+		pathViol := s.eng.Probe().MaxPathViolationFrac
+		if kktMax < kktTol {
+			if viol := s.unpinnedViolation(); viol < tol && pathViol < tol {
+				stable++
+				if stable >= window {
+					s.kktMax, s.viol, s.pathViol = kktMax, viol, pathViol
+					return
+				}
+				continue
 			}
-		} else {
-			stable = 0
 		}
+		stable = 0
 	}
 	s.kktMax, _, _ = s.eng.KKTStats()
 	s.viol = s.unpinnedViolation()

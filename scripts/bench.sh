@@ -8,8 +8,9 @@
 # the million-subtask sharded fleet fails to certify convergence, the
 # fleet's boundary rounds exceed twice the single engine's KKT rounds, the
 # parallel 1m fleet run diverges from the serial round count (or, on >= 4
-# CPUs, fails to halve its wall-clock), or a previously gated benchmark
-# disappears from the report.
+# CPUs, fails to halve its wall-clock), the 1m fleet set-up (fleet.New)
+# allocates more per op than in the previous report, or a previously gated
+# benchmark disappears from the report.
 #
 #   scripts/bench.sh [output.json]
 #   BENCHTIME=200ms scripts/bench.sh     # quicker smoke run (CI)
@@ -38,10 +39,11 @@ go test -run '^$' \
 # The fleet benchmarks run in their own pinned invocation: the serial and
 # parallel 1m runs must not share a process with the engine microbenchmarks
 # (GC pressure from earlier runs would skew the wall-clock ratio the
-# parallel gate compares). The stream is concatenated into the same raw
+# parallel gate compares). BenchmarkFleetSetup/1m reports allocs/op, gated
+# against the previous report. The stream is concatenated into the same raw
 # file; benchparse parses both invocations as one report.
 go test -run '^$' \
-  -bench 'BenchmarkFleetConverge' \
+  -bench 'BenchmarkFleetConverge|BenchmarkFleetSetup' \
   -benchtime "$benchtime" -json . >> "$raw"
 
 # Gate against the committed baseline too: a gated benchmark that vanishes

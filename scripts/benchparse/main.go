@@ -8,6 +8,8 @@
 // -check enforces the sparse-iteration regression gate: the steady-state
 // converged Step must be faster on the sparse path than on the dense path
 // (BenchmarkEngineStepConverged/sparse vs /dense), or the exit code is 1.
+// -prev compares against a previous report: no gated benchmark may vanish,
+// and fleet set-up (BenchmarkFleetSetup/) may not allocate more per op.
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 	check := flag.Bool("check", false,
 		"fail unless BenchmarkEngineStepConverged/sparse ns/op is below .../dense")
 	prev := flag.String("prev", "",
-		"path to a prior report: fail, naming them, if gated benchmarks it contains are missing from this run")
+		"path to a prior report: fail if gated benchmarks it contains are missing from this run, or fleet set-up allocs/op grew")
 	flag.Parse()
 
 	recs, err := parse(os.Stdin)
@@ -96,11 +98,41 @@ func main() {
 		}
 	}
 	if *prev != "" {
-		if err := checkNoGatedLoss(*prev, recs); err != nil {
+		old, err := loadReport(*prev)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
+			os.Exit(1)
+		}
+		if old == nil {
+			fmt.Fprintf(os.Stderr, "benchparse: no previous report at %s, skipping the comparisons against it\n", *prev)
+			return
+		}
+		if err := checkNoGatedLoss(*prev, old, recs); err != nil {
+			fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
+			os.Exit(1)
+		}
+		if err := checkSetupAllocs(old, recs); err != nil {
 			fmt.Fprintln(os.Stderr, "benchparse: CHECK FAILED:", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// loadReport reads a previous BENCH_core.json; a missing file yields nil
+// (the first run has nothing to compare against).
+func loadReport(path string) (*report, error) {
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("reading previous report: %w", err)
+	}
+	var r report
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return nil, fmt.Errorf("parsing previous report %s: %w", path, err)
+	}
+	return &r, nil
 }
 
 // parse consumes a test2json stream and extracts benchmark result lines.
@@ -410,6 +442,7 @@ var gatedPrefixes = []string{
 	"BenchmarkRecoveryRounds/",
 	"BenchmarkWireCodec",
 	"BenchmarkFleetConverge/",
+	"BenchmarkFleetSetup/",
 }
 
 // isGated reports whether a (GOMAXPROCS-suffix-stripped) benchmark name
@@ -424,22 +457,10 @@ func isGated(name string) bool {
 }
 
 // checkNoGatedLoss fails, naming each one, when a gated benchmark present
-// in the previous report is missing from the current run. Names are
-// compared with the -GOMAXPROCS suffix stripped so a runner-width change is
-// not a diff. A missing previous report skips the check (first run).
-func checkNoGatedLoss(prevPath string, recs []record) error {
-	raw, err := os.ReadFile(prevPath)
-	if os.IsNotExist(err) {
-		fmt.Fprintf(os.Stderr, "benchparse: no previous report at %s, skipping gated-loss check\n", prevPath)
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("reading previous report: %w", err)
-	}
-	var prev report
-	if err := json.Unmarshal(raw, &prev); err != nil {
-		return fmt.Errorf("parsing previous report %s: %w", prevPath, err)
-	}
+// in the previous report (read from prevPath) is missing from the current
+// run. Names are compared with the -GOMAXPROCS suffix stripped so a
+// runner-width change is not a diff.
+func checkNoGatedLoss(prevPath string, prev *report, recs []record) error {
 	have := make(map[string]bool, len(recs))
 	for _, r := range recs {
 		have[trimCPUSuffix(r.Name)] = true
@@ -457,6 +478,48 @@ func checkNoGatedLoss(prevPath string, recs []record) error {
 			prevPath, strings.Join(missing, ", "))
 	}
 	fmt.Fprintf(os.Stderr, "benchparse: check passed: every gated benchmark from %s is present\n", prevPath)
+	return nil
+}
+
+// setupAllocSlack is the relative allocs/op headroom of the set-up alloc
+// gate. fleet.New's allocations are a function of the workload, but the
+// measured count still jitters by a few allocations from run to run (up to 5
+// in 6.4e6 observed on the 1m shape); 1e-5 absorbs that and no regression
+// worth catching.
+const setupAllocSlack = 1e-5
+
+// checkSetupAllocs enforces the fleet set-up allocation gate: every
+// BenchmarkFleetSetup/ record's allocs/op must not exceed the previous
+// report's value for the same benchmark (beyond setupAllocSlack). A record
+// the previous report lacks skips the comparison loudly; a current record
+// without allocs/op is an error.
+func checkSetupAllocs(prev *report, recs []record) error {
+	before := make(map[string]float64, len(prev.Benchmarks))
+	for _, r := range prev.Benchmarks {
+		if a, ok := r.Metrics["allocs/op"]; ok {
+			before[trimCPUSuffix(r.Name)] = a
+		}
+	}
+	for _, r := range recs {
+		name := trimCPUSuffix(r.Name)
+		if !strings.HasPrefix(name, "BenchmarkFleetSetup/") {
+			continue
+		}
+		cur, ok := r.Metrics["allocs/op"]
+		if !ok {
+			return fmt.Errorf("%s reported no allocs/op (run it with -benchmem or b.ReportAllocs)", r.Name)
+		}
+		old, ok := before[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "benchparse: check SKIPPED: %s has no allocs/op in the previous report (%.0f allocs/op now)\n",
+				name, cur)
+			continue
+		}
+		if cur > old*(1+setupAllocSlack) {
+			return fmt.Errorf("%s allocates %.0f allocs/op, more than the previous report's %.0f", name, cur, old)
+		}
+		fmt.Fprintf(os.Stderr, "benchparse: check passed: %s %.0f allocs/op, previous report %.0f\n", name, cur, old)
+	}
 	return nil
 }
 
